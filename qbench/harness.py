@@ -92,22 +92,12 @@ class Recorder:
     def total_failed(self) -> int:
         return sum(self.failed.values())
 
-    def low_decile_ms(self, name: str) -> float:
-        """Tenth percentile of an operation's latencies, in ms (inclusive method).
-
-        The reported statistic.  The host this benchmark was tuned on runs
-        in two speed regimes about 1.6x apart that alternate every few
-        seconds; a run's median flips between them with the share of the
-        run spent slow, while a low percentile stays in the fast regime
-        unless nearly all of the run is slow.  With few samples it is close
-        to their minimum.
-        """
+    def median_ms(self, name: str) -> float:
+        """Median of an operation's latencies, in ms: the reported statistic."""
         values = self.samples.get(name)
         if not values:
             raise KeyError(f"no samples for {name!r}")
-        if len(values) == 1:
-            return values[0] * 1000.0
-        return statistics.quantiles(values, n=10, method="inclusive")[0] * 1000.0
+        return statistics.median(values) * 1000.0
 
     def ops_per_s(self) -> float:
         completed = self.total_attempted - self.total_failed
@@ -130,10 +120,7 @@ class Recorder:
         for name in sorted(self.samples):
             values = sorted(self.samples[name])
             n = len(values)
-            line = (
-                f"  {name:<22} n={n:<5} p10 {self.low_decile_ms(name):.3f} ms"
-                f"  median {statistics.median(values) * 1000:.3f} ms"
-            )
+            line = f"  {name:<22} n={n:<5} median {self.median_ms(name):.3f} ms"
             rung = tail_percentile(n)
             if rung is not None:
                 line += f"  p{rung:g} {percentile(values, rung) * 1000:.3f} ms"

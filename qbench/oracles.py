@@ -59,6 +59,9 @@ class RowStore:
             raise OracleError(f"provenance row {qualified}#{row_id} does not exist")
         return dict(zip(attributes, rows[row_id]))
 
+    def attributes(self, qualified: str) -> Tuple[str, ...]:
+        return self._relations[qualified][0]
+
     def values(self, qualified: str, attribute: str) -> Set[str]:
         attributes, rows = self._relations[qualified]
         index = attributes.index(attribute)
@@ -387,6 +390,21 @@ def check_shared_values(correspondences, rows: RowStore) -> None:
         right = rows.values(c.target.relation, c.target.attribute)
         if left.isdisjoint(right):
             raise OracleError(f"accepted pair {c.source.qualified} ~ {c.target.qualified} shares no value")
+
+
+def check_filter_admitted(correspondences, rows: RowStore) -> None:
+    """Every relation pair with an accepted correspondence has an attribute pair sharing a raw value.
+
+    This is what ``value_filter=True`` does guarantee: it drops relation
+    pairs without any value-sharing attribute pair before scoring.
+    """
+    for left, right in sorted({(c.source.relation, c.target.relation) for c in correspondences}):
+        if not any(
+            not rows.values(left, a).isdisjoint(rows.values(right, b))
+            for a in rows.attributes(left)
+            for b in rows.attributes(right)
+        ):
+            raise OracleError(f"accepted a pair of {left} and {right}, which share no value in any attribute")
 
 
 def correspondence_set(correspondences) -> Set[Tuple[str, str, str]]:

@@ -2,14 +2,14 @@
 
 Usage (from the repository root)::
 
-    python3 qbench/run.py --workload trials_served --seed 1 --seconds 20 --trace 0
-    python3 qbench/run.py --workload all            # every workload, one after another
+    python3 qbench/run.py --workload trials_served --seed 1 --seconds 55 --trace 0
+    python3 qbench/run.py                           # every workload of BENCHMARK.json in turn
 
-A run repeats whole cycles of its workload until ``--seconds`` have passed,
+A run repeats as many whole cycles of its workload as fit in ``--seconds``,
 checks every answer it received against the oracles in :mod:`oracles`, and
 prints a host block, per-operation accounting (attempted / failed, with
-exception types), latency percentiles (the reported tenth, the median and
-the tail), and the metrics.  The last line of standard output is one JSON object::
+exception types), latency statistics (the reported median and the tail),
+and the metrics.  The last line of standard output is one JSON object::
 
     {"correct": true, "attempted": 812, "failed": 0, "metrics": {...}}
 
@@ -40,6 +40,12 @@ if __name__ == "__main__" and os.environ.get("PYTHONHASHSEED") != "0":
     os.execv(sys.executable, [sys.executable, *sys.argv])
 
 WORKLOAD_NAMES = ("trials_served", "steiner_fourkw", "catalog_registration")
+
+
+def benchmark_spec() -> dict:
+    """``BENCHMARK.json``: the gated workloads, their metrics and the run length."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
 
 #: End-to-end metric -> (recorder sample, unit); setup, throughput and
 #: memory are computed separately.
@@ -77,7 +83,7 @@ def metric(value: float, unit: str) -> dict:
 def end_to_end(rec, workload, peak_rss_mb) -> dict:
     metrics = {"setup_s": metric(statistics.median(workload.setups), "s")}
     for name, sample in LATENCIES.items():
-        metrics[name] = metric(rec.low_decile_ms(sample), "ms")
+        metrics[name] = metric(rec.median_ms(sample), "ms")
     metrics["ops_per_s"] = metric(rec.ops_per_s(), "ops/s")
     metrics["peak_rss_mb"] = metric(peak_rss_mb, "MB")
     return metrics
@@ -121,14 +127,20 @@ def per_layer(tracer, workload, overhead_pct: float) -> dict:
 
 
 def run_cycles(workload, seconds: float = None, cycles: int = None) -> None:
-    """Whole cycles until ``seconds`` have passed (at least one), or exactly ``cycles``."""
+    """Exactly ``cycles`` whole cycles, or as many as fit in ``seconds`` (at least one).
+
+    A cycle starts only if one more cycle of the mean length so far ends
+    within ``seconds``, so a run overruns its time by little.
+    """
     start = time.perf_counter()
     while True:
         workload.run_cycle()
         if cycles is not None:
             if workload.cycles >= cycles:
                 return
-        elif time.perf_counter() - start >= seconds:
+            continue
+        elapsed = time.perf_counter() - start
+        if elapsed * (workload.cycles + 1) / workload.cycles > seconds:
             return
 
 
@@ -208,9 +220,9 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
 
 
 def run_all(args) -> int:
-    """Every workload in its own process, one after another."""
+    """Every workload of ``BENCHMARK.json`` in its own process, one after another."""
     combined = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
-    for name in WORKLOAD_NAMES:
+    for name in [w["name"] for w in benchmark_spec()["workloads"]]:
         cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", name, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)]
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=900)
@@ -233,7 +245,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="all", choices=(*WORKLOAD_NAMES, "all"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=None, help="defaults to BENCHMARK.json run_seconds")
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
     args = parser.parse_args(argv)
 
@@ -244,6 +256,8 @@ def main(argv=None) -> int:
     for path in (str(HERE), str(src)):
         if path not in sys.path:
             sys.path.insert(0, path)
+    if args.seconds is None:
+        args.seconds = benchmark_spec()["run_seconds"]
     if args.workload == "all":
         return run_all(args)
     result = run_one(args.workload, args.seed, args.seconds, bool(args.trace))

@@ -5,8 +5,8 @@ Usage (from the repository root)::
     python3 qbench/steady.py --workload trials_served --runs 10
     python3 qbench/steady.py --runs 10                 # every workload in turn
 
-Each run is one ``qbench/run.py`` process with its own seed (``--first-seed``,
-``--first-seed + 1``, ...), run one after another.  For every end-to-end
+Each run is one ``qbench/run.py`` process of ``BENCHMARK.json``'s
+``run_seconds`` with its own seed (1, 2, ..., N), run one after another.  For every end-to-end
 metric of ``BENCHMARK.json`` the report prints the median, the first and
 third quartiles (``statistics.quantiles(values, n=4)``), the spread
 ``(q3 - q1) / median`` and the metric's bound; a spread at or above a third
@@ -67,19 +67,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="all")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--same-seed", action="store_true", help="repeat --first-seed instead of varying it")
-    parser.add_argument("--seconds", type=int, default=None, help="defaults to BENCHMARK.json run_seconds")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
     names = [w["name"] for w in spec["workloads"]] if args.workload == "all" else [args.workload]
     steady = True
     for name in names:
         results = []
-        for run in range(args.runs):
-            seed = args.first_seed + (0 if args.same_seed else run)
-            results.append(run_once(name, seed, seconds))
+        for seed in range(1, args.runs + 1):
+            results.append(run_once(name, seed, spec["run_seconds"]))
             print(f"  {name} seed {seed} done", file=sys.stderr)
         steady &= summarize(name, results, spec)
     print("steady" if steady else "NOT steady")

@@ -141,6 +141,26 @@ def test_preference_and_ranking_checks():
         oracles.check_same_ranking(answers, [answers[1], answers[0], *answers[2:]], "swapped")
 
 
+def test_shared_value_checks():
+    rows = oracles.RowStore()
+    rows.add_payload({"name": "a", "relations": {"a": {"attributes": ["k", "x"], "rows": [["1", "p"], ["2", "q"]]}}})
+    rows.add_payload({"name": "b", "relations": {"b": {"attributes": ["k", "y"], "rows": [[" 2", "r"], ["2", "s"]]}}})
+    rows.add_payload({"name": "c", "relations": {"c": {"attributes": ["z"], "rows": [["t"]]}}})
+
+    def pair(left, right):
+        side = lambda qualified: SimpleNamespace(relation=qualified.rsplit(".", 1)[0],
+                                                 attribute=qualified.rsplit(".", 1)[1], qualified=qualified)
+        return SimpleNamespace(source=side(left), target=side(right))
+
+    joined, by_name, unrelated = pair("a.a.k", "b.b.k"), pair("a.a.x", "b.b.y"), pair("a.a.x", "c.c.z")
+    oracles.check_shared_values([joined], rows)
+    oracles.check_filter_admitted([joined, by_name], rows)
+    with pytest.raises(OracleError, match="shares no value"):
+        oracles.check_shared_values([joined, by_name], rows)
+    with pytest.raises(OracleError, match="share no value in any attribute"):
+        oracles.check_filter_admitted([joined, unrelated], rows)
+
+
 # ----------------------------------------------------------------------
 # The oracles against the real program on a small GBCO view
 # ----------------------------------------------------------------------
